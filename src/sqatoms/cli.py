@@ -55,15 +55,8 @@ from .entanglement import (
     concurrence_unique,
     thresholds,
 )
-from .evolve import (
-    IntegratorConfig,
-    StepUnderflowError,
-    evolve_to_stationary,
-    trajectory,
-)
+from .evolve import IntegratorConfig, evolve_to_stationary, trajectory
 from .liouvillian import build_generator, stationary_space
-
-_DEFAULT_CFG = IntegratorConfig()
 
 
 @dataclass(frozen=True)
@@ -346,10 +339,7 @@ def _load_state_file(path: str) -> DensityMatrix:
                 return complex(cell[0], cell[1])
             return complex(cell)
 
-        if raw and isinstance(raw[0], (list, tuple)) and len(raw) == 4 and len(raw[0]) == 4 \
-                and not isinstance(raw[0][0], (int, float)):
-            data = np.array([[to_complex(c) for c in row] for row in raw])
-        elif len(raw) == 4 and isinstance(raw[0], (list, tuple)) and len(raw[0]) == 4:
+        if len(raw) == 4 and isinstance(raw[0], (list, tuple)) and len(raw[0]) == 4:
             data = np.array([[to_complex(c) for c in row] for row in raw])
         else:
             data = np.array([to_complex(c) for c in raw])
@@ -394,13 +384,11 @@ def cmd_evolve(args) -> int:
         raise ParameterError(f"duration must be positive, got {args.t}")
     if args.samples < 2:
         raise ParameterError(f"need at least 2 samples, got {args.samples}")
-    cfg = IntegratorConfig(rel_tol=args.rel_tol, abs_tol=args.abs_tol)
     times = np.linspace(0.0, args.t, args.samples)
-    states = trajectory(rho0, bath, atoms, times, cfg)
+    states = trajectory(rho0, bath, atoms, times)
     meta = [
         _param_echo(bath, atoms),
-        f"init={args.init} t={_fmt(args.t)} samples={args.samples} "
-        f"rel_tol={_fmt(args.rel_tol)} abs_tol={_fmt(args.abs_tol)}",
+        f"init={args.init} t={_fmt(args.t)} samples={args.samples}",
     ]
     _emit(args, "evolve", meta, _EVOLVE_HEADER, _trajectory_rows(states, times),
           "t [1/gamma0]", "rho_ee")
@@ -591,6 +579,36 @@ def cmd_thresholds(args) -> int:
 # parser
 # ---------------------------------------------------------------------------
 
+class _NegativeNumber:
+    """Stand-in for argparse's negative-number pattern: a string with a
+    leading minus whose comma-separated parts float() all reads, exponent
+    notation included (``--deltas`` takes a list)."""
+
+    @staticmethod
+    def match(text: str) -> bool:
+        if not text.startswith("-"):
+            return False
+        try:
+            for part in text.split(","):
+                float(part)
+        except ValueError:
+            return False
+        return True
+
+
+class _Parser(argparse.ArgumentParser):
+    """ArgumentParser that takes ``-1.5e-05`` as a value, not an option.
+
+    argparse recognizes negative numbers by the pattern ``-1`` / ``-1.5``
+    only, so ``--delta -1.5e-05`` failed with "expected one argument".
+    Subparsers inherit the class.
+    """
+
+    def __init__(self, *args, **kwargs):
+        super().__init__(*args, **kwargs)
+        self._negative_number_matcher = _NegativeNumber()
+
+
 def _shared_flags() -> argparse.ArgumentParser:
     shared = argparse.ArgumentParser(add_help=False)
     grp = shared.add_argument_group("reservoir and atom parameters")
@@ -614,7 +632,7 @@ def _shared_flags() -> argparse.ArgumentParser:
 
 def build_parser() -> argparse.ArgumentParser:
     shared = _shared_flags()
-    parser = argparse.ArgumentParser(
+    parser = _Parser(
         prog="sqatoms",
         description="Two two-level atoms in a broadband squeezed reservoir: "
                     "dynamics, asymptotic states and entanglement.",
@@ -626,8 +644,6 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--init", default="g", help="initial state: e|s|a|g|product:...|file:PATH")
     p.add_argument("--t", type=float, default=20.0, help="duration in units of 1/gamma0")
     p.add_argument("--samples", type=int, default=201, help="number of output rows")
-    p.add_argument("--rel-tol", type=float, default=_DEFAULT_CFG.rel_tol)
-    p.add_argument("--abs-tol", type=float, default=_DEFAULT_CFG.abs_tol)
     p.set_defaults(func=cmd_evolve)
 
     p = sub.add_parser("steady", parents=[shared], help="asymptotic state")
@@ -685,9 +701,6 @@ def main(argv=None) -> int:
     except (RegimeError, FidelityRangeError, BelowCriticalError, NotXFormError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 2
-    except StepUnderflowError as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return 3
     except (ParameterError, NotNormalizedError, ValueError, OSError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 1

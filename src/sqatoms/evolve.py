@@ -1,9 +1,14 @@
-"""Time integration of the master equation and stationarity detection.
+"""Time evolution of the master equation and stationarity detection.
 
-The workhorse is an embedded Dormand-Prince 5(4) stepper acting on the
-collective-basis matrix through the closed equations of motion; a
-matrix-exponential propagator over the vectorized generator is kept as an
-exact cross-check path.  All times are in units of 1/gamma0.
+The generator is linear with constant coefficients, so the dynamics use
+its exact propagator ``exp(dt L)`` (``scipy.linalg.expm``, the
+scaling-and-squaring method of Al-Mohy & Higham, SIAM J. Matrix Anal.
+Appl. 31, 970 (2009)) acting on the vectorized collective-basis matrix.
+No eigendecomposition is used: the generator is non-normal and its kernel
+is degenerate in the Dicke limit.  A sampled trajectory computes one
+propagator per distinct time step; the relaxation toward stationarity
+doubles its time chunks and squares the last propagator to get the next.
+All times are in units of 1/gamma0.
 """
 from __future__ import annotations
 
@@ -21,100 +26,31 @@ from .model import (
     as_matrix,
     validate,
 )
-from .liouvillian import build_generator, make_collective_rhs
-
-MIN_STEP = 1e-12
-
-
-class StepUnderflowError(RuntimeError):
-    """Adaptive step size fell below the representable minimum."""
+from .liouvillian import build_generator
 
 
 @dataclass(frozen=True)
 class IntegratorConfig:
-    """Adaptive-integration knobs; every field is in 1/gamma0 units where
-    dimensional.  ``t_max`` of None selects a heuristic horizon from the
-    slowest relevant relaxation rate."""
+    """Relaxation knobs, in 1/gamma0 units where dimensional.  ``t_max``
+    of None selects a heuristic horizon from the slowest relevant
+    relaxation rate; ``stationarity_eps`` bounds the generator residual
+    at which the state counts as stationary."""
 
-    step: float = 1e-2
-    rel_tol: float = 1e-12
-    abs_tol: float = 1e-14
     t_max: float | None = None
     stationarity_eps: float = 1e-10
 
     def __post_init__(self):
-        if self.step <= 0.0 or self.abs_tol <= 0.0 or self.stationarity_eps <= 0.0:
-            raise ValueError("step, abs_tol and stationarity_eps must be positive")
-        if self.rel_tol < 1e-14:
-            raise ValueError(f"rel_tol must be >= 1e-14, got {self.rel_tol}")
+        if self.stationarity_eps <= 0.0:
+            raise ValueError("stationarity_eps must be positive")
         if self.t_max is not None and self.t_max <= 0.0:
             raise ValueError("t_max must be positive")
-
-
-# Dormand-Prince 5(4) tableau (autonomous system, no c nodes needed)
-_A = (
-    (),
-    (1 / 5,),
-    (3 / 40, 9 / 40),
-    (44 / 45, -56 / 15, 32 / 9),
-    (19372 / 6561, -25360 / 2187, 64448 / 6561, -212 / 729),
-    (9017 / 3168, -355 / 33, 46732 / 5247, 49 / 176, -5103 / 18656),
-    (35 / 384, 0.0, 500 / 1113, 125 / 192, -2187 / 6784, 11 / 84),
-)
-_B5 = (35 / 384, 0.0, 500 / 1113, 125 / 192, -2187 / 6784, 11 / 84, 0.0)
-_ERR = (
-    71 / 57600,
-    0.0,
-    -71 / 16695,
-    71 / 1920,
-    -17253 / 339200,
-    22 / 525,
-    -1 / 40,
-)
-
-
-def dp45_step(f, y: np.ndarray, h: float):
-    """One fixed Dormand-Prince step: fifth-order update and error estimate."""
-    k = [f(y)]
-    for row in _A[1:]:
-        stage = y + h * sum(a * ki for a, ki in zip(row, k))
-        k.append(f(stage))
-    y5 = y + h * sum(b * ki for b, ki in zip(_B5, k) if b)
-    err = h * sum(e * ki for e, ki in zip(_ERR, k) if e)
-    return y5, err
-
-
-def _integrate_adaptive(f, y0: np.ndarray, duration: float, cfg: IntegratorConfig):
-    """Advance y' = f(y) by ``duration``; returns (y, accepted step count)."""
-    y = y0
-    t = 0.0
-    h = min(cfg.step, duration) if duration > 0.0 else cfg.step
-    steps = 0
-    while t < duration:
-        h = min(h, duration - t)
-        if h < MIN_STEP:
-            if duration - t < MIN_STEP:
-                break  # only a sub-resolution sliver of time remains
-            raise StepUnderflowError(f"step size underflowed at t = {t:.6g}")
-        y5, err = dp45_step(f, y, h)
-        scale = cfg.abs_tol + cfg.rel_tol * np.maximum(np.abs(y), np.abs(y5))
-        err_norm = float(np.sqrt(np.mean(np.abs(err / scale) ** 2)))
-        if err_norm <= 1.0:
-            t += h
-            y = y5
-            steps += 1
-            grow = 5.0 if err_norm == 0.0 else min(5.0, 0.9 * err_norm ** (-0.2))
-            h *= max(grow, 0.2)
-        else:
-            h *= max(0.2, 0.9 * err_norm ** (-0.2))
-    return y, steps
 
 
 @dataclass(frozen=True)
 class IntegrationResult:
     """State at the requested time plus bookkeeping: the magnitude of the
-    hermitization/renormalization applied on return and the accepted step
-    count."""
+    hermitization/renormalization applied on return and the number of
+    propagator applications."""
 
     state: DensityMatrix
     correction: float
@@ -122,6 +58,7 @@ class IntegrationResult:
 
 
 def _finalize(y_collective: np.ndarray, steps: int) -> IntegrationResult:
+    y_collective = y_collective.reshape(4, 4)
     sym = (y_collective + y_collective.conj().T) / 2.0
     sym /= sym.trace().real
     correction = float(np.max(np.abs(sym - y_collective)))
@@ -129,9 +66,8 @@ def _finalize(y_collective: np.ndarray, steps: int) -> IntegrationResult:
     return IntegrationResult(state=rho, correction=correction, steps=steps)
 
 
-def integrate(rho0, bath: BathParams, atoms: AtomParams, t: float,
-              cfg: IntegratorConfig | None = None) -> IntegrationResult:
-    """Propagate a state for a fixed time.
+def integrate(rho0, bath: BathParams, atoms: AtomParams, t: float) -> IntegrationResult:
+    """Propagate a state for a fixed time with one application of exp(t L).
 
     Parameters
     ----------
@@ -141,39 +77,40 @@ def integrate(rho0, bath: BathParams, atoms: AtomParams, t: float,
         Reservoir and atom-pair parameters.
     t : float
         Duration in units of 1/gamma0.
-    cfg : IntegratorConfig, optional
-        Tolerances and step control; defaults are tight enough for
-        1e-10-level trajectory accuracy.
 
     Returns
     -------
     IntegrationResult
         Final state (re-hermitized and trace-renormalized, with the
-        applied correction magnitude) and the accepted step count.
+        applied correction magnitude) and the propagator application count.
     """
-    cfg = cfg or IntegratorConfig()
-    validate(bath, atoms)
+    gen = build_generator(bath, atoms, COLLECTIVE).matrix
     if t < 0.0:
         raise ValueError("integration time must be >= 0")
-    y0 = _to_collective_matrix(rho0)
-    f = make_collective_rhs(bath, atoms)
-    y, steps = _integrate_adaptive(f, y0, t, cfg)
-    return _finalize(y, steps)
+    return _finalize(expm(t * gen) @ _to_collective_vector(rho0), 1)
 
 
-def trajectory(rho0, bath: BathParams, atoms: AtomParams, times,
-               cfg: IntegratorConfig | None = None) -> list[DensityMatrix]:
-    """States sampled at the given (sorted, nonnegative) times."""
-    cfg = cfg or IntegratorConfig()
-    validate(bath, atoms)
-    f = make_collective_rhs(bath, atoms)
-    y = _to_collective_matrix(rho0)
+def trajectory(rho0, bath: BathParams, atoms: AtomParams, times) -> list[DensityMatrix]:
+    """States sampled at the given (sorted, nonnegative) times.
+
+    Each gap between samples is bridged by exp(dt L), computed once per
+    distinct gap, so a uniform grid costs a few ``expm`` calls plus one
+    16x16 matrix-vector product per sample.
+    """
+    gen = build_generator(bath, atoms, COLLECTIVE).matrix
+    y = _to_collective_vector(rho0)
+    propagators: dict[float, np.ndarray] = {}
     out = []
     t_prev = 0.0
     for t in times:
-        if t < t_prev:
+        dt = t - t_prev
+        if dt < 0.0:
             raise ValueError("sample times must be nondecreasing")
-        y, _ = _integrate_adaptive(f, y, t - t_prev, cfg)
+        if dt > 0.0:
+            prop = propagators.get(dt)
+            if prop is None:
+                prop = propagators[dt] = expm(dt * gen)
+            y = prop @ y
         t_prev = t
         out.append(_finalize(y, 0).state)
     return out
@@ -212,7 +149,8 @@ def default_t_max(bath: BathParams, atoms: AtomParams) -> float:
 class StationaryResult:
     """Outcome of relaxing toward stationarity.  ``converged`` is False when
     the horizon was reached first; the best state reached is still
-    returned, with its generator residual."""
+    returned, with its generator residual.  ``steps`` counts propagator
+    applications (one per time chunk)."""
 
     state: DensityMatrix
     time: float
@@ -223,24 +161,34 @@ class StationaryResult:
 
 def evolve_to_stationary(rho0, bath: BathParams, atoms: AtomParams,
                          cfg: IntegratorConfig | None = None) -> StationaryResult:
-    """Integrate until the generator residual |L rho|_1 drops below
-    ``cfg.stationarity_eps`` (entrywise 1-norm), or the horizon is hit."""
+    """Relax until the generator residual |L rho|_1 drops below
+    ``cfg.stationarity_eps`` (entrywise 1-norm), or the horizon is hit.
+
+    Time advances in chunks of 1, 2, 4, ... (capped at an eighth of the
+    horizon and at the time left), so the state is tested at t = 1, 3,
+    7, ...; each doubled chunk's propagator is the square of the last.
+    """
     cfg = cfg or IntegratorConfig()
-    validate(bath, atoms)
     t_max = cfg.t_max if cfg.t_max is not None else default_t_max(bath, atoms)
-    f = make_collective_rhs(bath, atoms)
-    y = _to_collective_matrix(rho0)
+    gen = build_generator(bath, atoms, COLLECTIVE).matrix
+    y = _to_collective_vector(rho0)
     t = 0.0
     steps = 0
     chunk = min(1.0, t_max)
-    residual = float(np.abs(f(y)).sum())
+    prop, prop_chunk = None, 0.0
+    residual = float(np.abs(gen @ y).sum())
     while residual > cfg.stationarity_eps and t < t_max:
         chunk = min(chunk, t_max - t)
-        y, n = _integrate_adaptive(f, y, chunk, cfg)
+        if chunk == 2.0 * prop_chunk:
+            prop = prop @ prop
+        elif chunk != prop_chunk:
+            prop = expm(chunk * gen)
+        prop_chunk = chunk
+        y = prop @ y
         t += chunk
-        steps += n
+        steps += 1
         chunk = min(2.0 * chunk, max(1.0, t_max / 8.0))
-        residual = float(np.abs(f(y)).sum())
+        residual = float(np.abs(gen @ y).sum())
     final = _finalize(y, steps)
     return StationaryResult(
         state=final.state,
@@ -251,8 +199,9 @@ def evolve_to_stationary(rho0, bath: BathParams, atoms: AtomParams,
     )
 
 
-def _to_collective_matrix(rho) -> np.ndarray:
+def _to_collective_vector(rho) -> np.ndarray:
+    """Row-major vectorized collective-basis matrix of a state."""
     if isinstance(rho, DensityMatrix):
-        return rho.in_basis(COLLECTIVE).matrix.copy()
+        return rho.in_basis(COLLECTIVE).matrix.reshape(16)
     # raw arrays are taken as canonical
-    return as_matrix(DensityMatrix(np.asarray(rho, dtype=complex), CANONICAL), COLLECTIVE).copy()
+    return as_matrix(DensityMatrix(np.asarray(rho, dtype=complex), CANONICAL), COLLECTIVE).reshape(16)

@@ -2,11 +2,16 @@
 
 Two independent routes to the same map are provided:
 
-* :func:`build_generator` assembles the 16x16 superoperator directly from
-  the Hamiltonian and the four dissipator blocks written with kron'd
-  raising/lowering operators;
+* :func:`build_generator` assembles the 16x16 superoperator as a weighted
+  sum of ten constant superoperators.  The generator is affine in the
+  detuning, the dipole-dipole coupling, 1 + N, N, M and conj(M), with the
+  collective damping ratio multiplying the cross-atom terms; the constant
+  parts are built once at import from the raising/lowering operator
+  algebra with ``vec(A X B) = (A kron B^T) vec(X)``.  The dynamics in
+  :mod:`sqatoms.evolve` run on this matrix.
 * :func:`rhs_collective` evaluates the hand-derived closed equations of
-  motion for the collective-basis matrix elements.
+  motion for the collective-basis matrix elements.  It is the reference
+  that pins the generator and is not on the dynamics path.
 
 The two must agree entrywise; the test suite enforces this, which also
 pins down the coefficient set of the collective equations.
@@ -33,6 +38,7 @@ _SIG_P = np.array([[0.0, 1.0], [0.0, 0.0]], dtype=complex)
 _SIG_M = _SIG_P.T.conj()
 _SIG_3 = np.diag([1.0, -1.0]).astype(complex)
 _ID2 = np.eye(2, dtype=complex)
+_ID4 = np.eye(4, dtype=complex)
 
 SP_A = np.kron(_SIG_P, _ID2)
 SM_A = np.kron(_SIG_M, _ID2)
@@ -42,39 +48,59 @@ SM_B = np.kron(_ID2, _SIG_M)
 S3_B = np.kron(_ID2, _SIG_3)
 
 
-def hamiltonian(atoms: AtomParams) -> np.ndarray:
-    """Coherent part in units of gamma0: detuning plus dipole-dipole coupling."""
-    return atoms.delta / 2.0 * (S3_A + S3_B) + atoms.omega_ratio * (
-        SP_A @ SM_B + SP_B @ SM_A
-    )
+def _sandwich(a: np.ndarray, b: np.ndarray) -> np.ndarray:
+    """Superoperator of X -> a X b on row-major vectorized 4x4 matrices."""
+    return np.kron(a, b.T)
 
 
-def _apply_canonical(rho: np.ndarray, bath: BathParams, atoms: AtomParams) -> np.ndarray:
-    """Action of the full generator on a canonical-basis matrix (gamma0 = 1)."""
-    n, m = bath.n_mean, bath.m
-    mc = np.conj(m)
-    h = hamiltonian(atoms)
-    out = -1j * (h @ rho - rho @ h)
-    lowering = {"A": SM_A, "B": SM_B}
-    raising = {"A": SP_A, "B": SP_B}
-    for j in ("A", "B"):
-        for k in ("A", "B"):
-            gjk = 1.0 if j == k else atoms.gamma_hat
-            lj_m, lk_p = lowering[j], raising[k]
-            lj_p, lk_m = raising[j], lowering[k]
-            out += 0.5 * gjk * (1.0 + n) * (
-                2.0 * lj_m @ rho @ lk_p - lk_p @ lj_m @ rho - rho @ lk_p @ lj_m
-            )
-            out += 0.5 * gjk * n * (
-                2.0 * lj_p @ rho @ lk_m - lk_m @ lj_p @ rho - rho @ lk_m @ lj_p
-            )
-            out += 0.5 * gjk * m * (
-                2.0 * lj_p @ rho @ lk_p - lk_p @ lj_p @ rho - rho @ lk_p @ lj_p
-            )
-            out += 0.5 * gjk * mc * (
-                2.0 * lj_m @ rho @ lk_m - lk_m @ lj_m @ rho - rho @ lk_m @ lj_m
-            )
+def _commutator(h: np.ndarray) -> np.ndarray:
+    """Superoperator of X -> -i [h, X]."""
+    return -1j * (_sandwich(h, _ID4) - _sandwich(_ID4, h))
+
+
+def _channel(first, second, same_atom: bool) -> np.ndarray:
+    """Half the sum of 2 a X b - b a X - X b a over the atom pairs (j, k)
+    with a = first[j], b = second[k], taking j = k or j != k."""
+    out = np.zeros((16, 16), dtype=complex)
+    for j in range(2):
+        for k in range(2):
+            if (j == k) != same_atom:
+                continue
+            a, b = first[j], second[k]
+            ba = b @ a
+            out += 0.5 * (2.0 * _sandwich(a, b) - _sandwich(ba, _ID4) - _sandwich(_ID4, ba))
     return out
+
+
+def _constant_terms() -> np.ndarray:
+    """The ten constant superoperators, in the order of :func:`_weights`."""
+    lower, raise_ = (SM_A, SM_B), (SP_A, SP_B)
+    terms = [
+        _commutator((S3_A + S3_B) / 2.0),
+        _commutator(SP_A @ SM_B + SP_B @ SM_A),
+    ]
+    for first, second in ((lower, raise_), (raise_, lower), (raise_, raise_), (lower, lower)):
+        terms += [_channel(first, second, True), _channel(first, second, False)]
+    return np.array(terms)
+
+
+def _weights(bath: BathParams, atoms: AtomParams) -> np.ndarray:
+    """Coefficients of the ten constant superoperators (gamma0 = 1)."""
+    n, m, g = bath.n_mean, bath.m, atoms.gamma_hat
+    mc = m.conjugate()
+    return np.array([atoms.delta, atoms.omega_ratio, 1.0 + n, g * (1.0 + n), n, g * n,
+                     m, g * m, mc, g * mc])
+
+
+# row-major vec: vec(U X U^dag) = (U kron conj(U)) vec(X)
+_W = np.kron(COLLECTIVE_BASIS_MAP, COLLECTIVE_BASIS_MAP.conj())
+_TERMS_CANONICAL = _constant_terms()
+_TERMS = {
+    CANONICAL: _TERMS_CANONICAL.reshape(10, 256),
+    COLLECTIVE: (_W @ _TERMS_CANONICAL @ _W.conj().T).reshape(10, 256),
+}
+for _t in _TERMS.values():
+    _t.setflags(write=False)
 
 
 @dataclass(frozen=True)
@@ -99,36 +125,33 @@ class Superoperator:
     def in_basis(self, basis: str) -> "Superoperator":
         if basis == self.basis:
             return self
-        u = COLLECTIVE_BASIS_MAP if basis == COLLECTIVE else COLLECTIVE_BASIS_MAP.conj().T
-        # row-major vec: vec(U X U^dag) = (U kron conj(U)) vec(X)
-        w = np.kron(u, u.conj())
+        w = _W if basis == COLLECTIVE else _W.conj().T
         return Superoperator(w @ self.matrix @ w.conj().T, basis)
 
 
-def build_generator(bath: BathParams, atoms: AtomParams, basis: str = CANONICAL) -> Superoperator:
-    """Assemble the full generator as a superoperator matrix.
+def _generator_matrix(bath: BathParams, atoms: AtomParams, basis: str = CANONICAL) -> np.ndarray:
+    """Generator matrix in units of gamma0, without parameter validation."""
+    if basis not in _TERMS:
+        raise ValueError(f"unknown basis tag {basis!r}")
+    return (_weights(bath, atoms) @ _TERMS[basis]).reshape(16, 16)
 
-    The matrix is built column by column from the action of the generator
-    on the sixteen matrix units, in units of gamma0.
-    """
+
+def build_generator(bath: BathParams, atoms: AtomParams, basis: str = CANONICAL) -> Superoperator:
+    """Assemble the full generator as a superoperator matrix, in units of
+    gamma0, in the requested basis."""
     validate(bath, atoms)
-    mat = np.empty((16, 16), dtype=complex)
-    for i in range(4):
-        for j in range(4):
-            unit = np.zeros((4, 4), dtype=complex)
-            unit[i, j] = 1.0
-            mat[:, 4 * i + j] = _apply_canonical(unit, bath, atoms).reshape(16)
-    gen = Superoperator(mat, CANONICAL)
-    return gen if basis == CANONICAL else gen.in_basis(basis)
+    return Superoperator(_generator_matrix(bath, atoms, basis), basis)
 
 
 def make_collective_rhs(bath: BathParams, atoms: AtomParams):
     """Right-hand side d(rho)/dt in the collective basis, as a closure.
 
-    Implements the closed blocks the equations of motion split into:
-    the X block (populations and the e-g coherence), the two coherence
-    blocks (e-s/s-g and e-a/a-g) and the isolated s-a coherence.  Rates
-    are in units of gamma0; ``atoms.gamma0`` only fixes the time unit.
+    This is the hand-derived reference for :func:`build_generator`; the
+    dynamics do not call it.  It implements the closed blocks the
+    equations of motion split into: the X block (populations and the e-g
+    coherence), the two coherence blocks (e-s/s-g and e-a/a-g) and the
+    isolated s-a coherence.  Rates are in units of gamma0;
+    ``atoms.gamma0`` only fixes the time unit.
     """
     validate(bath, atoms)
     n = bath.n_mean

@@ -64,6 +64,10 @@ class GammaHatRangeError(ParameterError):
     """The collective damping ratio lies outside [0, 1]."""
 
 
+class NonFiniteError(ParameterError):
+    """A parameter or a density-matrix entry is NaN or infinite."""
+
+
 class NotNormalizedError(ValueError):
     """A state vector is not normalized to one."""
 
@@ -131,9 +135,21 @@ def validate(bath: BathParams, atoms: AtomParams) -> tuple[BathParams, AtomParam
 
     Raises
     ------
-    MSqueezeBoundError, NegativeRateError, GammaHatRangeError, ParameterError
+    NonFiniteError, MSqueezeBoundError, NegativeRateError, GammaHatRangeError,
+    ParameterError
         naming the violated invariant.
     """
+    # every range check below is a comparison, and comparisons with NaN
+    # are false, so finiteness comes first
+    isfinite = math.isfinite
+    if not (isfinite(bath.n_mean) and isfinite(bath.m_abs) and isfinite(bath.m_phase)
+            and isfinite(atoms.gamma_hat) and isfinite(atoms.gamma0)
+            and isfinite(atoms.omega_dd) and isfinite(atoms.delta)):
+        fields = {"N": bath.n_mean, "|M|": bath.m_abs, "M phase": bath.m_phase,
+                  "gamma_hat": atoms.gamma_hat, "gamma0": atoms.gamma0,
+                  "omega_dd": atoms.omega_dd, "delta": atoms.delta}
+        bad = ", ".join(f"{k} = {v}" for k, v in fields.items() if not isfinite(v))
+        raise NonFiniteError(f"parameters must be finite, got {bad}")
     if bath.n_mean < 0.0:
         raise ParameterError(f"mean photon number must be >= 0, got {bath.n_mean}")
     if bath.m_abs < 0.0:
@@ -154,8 +170,8 @@ def validate(bath: BathParams, atoms: AtomParams) -> tuple[BathParams, AtomParam
 class DensityMatrix:
     """A 4x4 two-qubit density matrix together with its basis tag.
 
-    Construction enforces hermiticity (1e-12 entrywise), unit trace (1e-12)
-    and positivity up to a -1e-9 eigenvalue floor.
+    Construction enforces finite entries, hermiticity (1e-12 entrywise),
+    unit trace (1e-12) and positivity up to a -1e-9 eigenvalue floor.
     """
 
     matrix: np.ndarray
@@ -167,7 +183,9 @@ class DensityMatrix:
             raise ValueError(f"density matrix must be 4x4, got shape {m.shape}")
         if self.basis not in (CANONICAL, COLLECTIVE):
             raise ValueError(f"unknown basis tag {self.basis!r}")
-        herm = np.max(np.abs(m - m.conj().T))
+        if not np.isfinite(m).all():
+            raise NonFiniteError("density matrix has non-finite entries")
+        herm = abs(m - m.conj().T).max()
         if herm > HERMITICITY_TOL:
             raise ValueError(f"matrix is not Hermitian: max |rho - rho^dag| = {herm:.3e}")
         tr = m.trace()

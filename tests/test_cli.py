@@ -61,6 +61,15 @@ class TestInitialStateSpecs:
         rho = parse_initial_state(f"file:{path}")
         assert np.max(np.abs(rho.matrix - np.outer(KET_A, KET_A.conj()))) < 1e-10
 
+    def test_file_spec_json_matrix(self, tmp_path):
+        # real entries and [re, im] pairs take the same 4x4 route
+        target = np.outer(KET_A, KET_A.conj()).real
+        for cells in (target.tolist(), [[[v, 0.0] for v in row] for row in target.tolist()]):
+            path = tmp_path / "rho.json"
+            path.write_text(json.dumps(cells))
+            rho = parse_initial_state(f"file:{path}")
+            assert np.max(np.abs(rho.matrix - target)) < 1e-15
+
     def test_file_spec_npy_matrix(self, tmp_path):
         path = tmp_path / "rho.npy"
         np.save(path, np.outer(KET_A, KET_A.conj()))
@@ -236,6 +245,28 @@ class TestErrorPathsAndConfig:
 
     def test_bad_flag_exits_one(self, capsys):
         assert main(["fig2", "--nope"]) == 1
+
+    def test_negative_numbers_in_exponent_notation(self, capsys):
+        code, out, err = run(capsys, "evolve", "--N", "1", "--Mabs", "1",
+                             "--omega-dd", "-1.3162429596036418e-05", "--delta", "-1.5e-05",
+                             "--Mphase", "-2.5E-1", "--t", "1", "--samples", "2")
+        assert code == 0, err
+        assert "Mphase=-0.25 " in out
+        assert "omega_dd=-1.3162429596e-05 delta=-1.5e-05" in out
+        code, out, err = run(capsys, "fig1", "--deltas", "-1e-3,0.5", "--points", "3")
+        assert code == 0, err
+        assert "C_delta=-0.001,C_delta=0.5" in out
+
+    def test_non_finite_input_exits_one(self, capsys, tmp_path):
+        code, out, err = run(capsys, "thresholds", "--N", "inf", "--min-uncertainty")
+        assert code == 1
+        assert "finite" in err
+        assert "F_cr" not in out
+        state = tmp_path / "nan.npy"
+        np.save(state, np.full((4, 4), np.nan, dtype=complex))
+        code, _, err = run(capsys, "evolve", "--init", f"file:{state}", "--t", "1")
+        assert code == 1
+        assert "non-finite" in err
 
     def test_config_file_precedence(self, capsys, tmp_path):
         cfg = tmp_path / "run.cfg"

@@ -8,6 +8,7 @@ from sqatoms import (
     BathParams,
     DensityMatrix,
     FidelityRangeError,
+    NonFiniteError,
     NotXFormError,
     RegimeError,
     asymptotic_concurrence,
@@ -72,6 +73,11 @@ class TestConcurrenceUnique:
     def test_regime_error(self):
         with pytest.raises(RegimeError):
             concurrence_unique(BathParams(1.0), AtomParams(gamma_hat=1.0))
+
+    def test_nan_photon_number_raises(self):
+        # max(0.0, nan) is 0.0: without the finiteness check this read as separable
+        with pytest.raises(NonFiniteError):
+            concurrence_unique(BathParams(math.nan), AtomParams(gamma_hat=0.4))
 
     def test_matches_constructive_concurrence(self, rng):
         for _ in range(100):

@@ -56,7 +56,7 @@ class TestGeneratorStructure:
         # the Choi matrix of exp(tL) is PSD iff the map is completely
         # positive, which for this bath holds exactly on |M|^2 <= N(N+1)
         from scipy.linalg import expm
-        from sqatoms.liouvillian import _apply_canonical
+        from sqatoms.liouvillian import _generator_matrix
 
         def choi_min_eig(mat, t):
             prop = expm(t * mat)
@@ -74,14 +74,7 @@ class TestGeneratorStructure:
 
         # an over-squeezed bath is not a quantum channel generator
         bad_bath = BathParams(0.3, 1.3 * math.sqrt(0.3 * 1.3))
-        mat = np.empty((16, 16), dtype=complex)
-        for i in range(4):
-            for j in range(4):
-                unit = np.zeros((4, 4), dtype=complex)
-                unit[i, j] = 1.0
-                mat[:, 4 * i + j] = _apply_canonical(
-                    unit, bad_bath, AtomParams(gamma_hat=0.9)
-                ).reshape(16)
+        mat = _generator_matrix(bad_bath, AtomParams(gamma_hat=0.9))
         assert choi_min_eig(mat, 0.5) < -1e-3
 
     def test_vacuum_rate_eigenvalues(self):

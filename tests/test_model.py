@@ -10,6 +10,7 @@ from sqatoms import (
     GammaHatRangeError,
     MSqueezeBoundError,
     NegativeRateError,
+    NonFiniteError,
     NotNormalizedError,
     ParameterError,
     fidelity_antisymmetric,
@@ -61,6 +62,16 @@ class TestValidate:
         assert bath.m_abs == pytest.approx(math.sqrt(6.0), abs=1e-15)
         validate(bath, AtomParams(gamma_hat=1.0))
 
+    @pytest.mark.parametrize("bad", [math.nan, math.inf, -math.inf])
+    @pytest.mark.parametrize("field", ["n_mean", "m_abs", "m_phase", "gamma_hat", "gamma0",
+                                       "omega_dd", "delta"])
+    def test_non_finite_field_rejected(self, field, bad):
+        bath = {"n_mean": 1.0, "m_abs": 0.5, "m_phase": 0.0}
+        atoms = {"gamma_hat": 0.5, "gamma0": 1.0, "omega_dd": 0.0, "delta": 0.0}
+        (bath if field in bath else atoms)[field] = bad
+        with pytest.raises(NonFiniteError, match="finite"):
+            validate(BathParams(**bath), AtomParams(**atoms))
+
     def test_regime_flag(self):
         assert AtomParams(gamma_hat=0.999).regime == "separated"
         assert AtomParams(gamma_hat=1.0).regime == "dicke"
@@ -80,6 +91,15 @@ class TestDensityMatrix:
     def test_rejects_negative_eigenvalue(self):
         with pytest.raises(ValueError, match="positive"):
             DensityMatrix(np.diag([0.7, 0.5, -0.2, 0.0]).astype(complex))
+
+    @pytest.mark.parametrize("entry", [math.nan, math.inf, complex(0.0, math.nan)])
+    def test_rejects_non_finite_entries(self, entry):
+        m = np.diag([0.25, 0.25, 0.25, 0.25]).astype(complex)
+        m[1, 1] = entry
+        with pytest.raises(NonFiniteError):
+            DensityMatrix(m)
+        with pytest.raises(NonFiniteError):
+            DensityMatrix(np.full((4, 4), entry))
 
     def test_matrix_is_read_only(self):
         rho = DensityMatrix.from_pure(KET_G)
