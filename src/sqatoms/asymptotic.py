@@ -26,13 +26,15 @@ from .model import (
     DensityMatrix,
     FidelityRangeError,
     RegimeError,
+    as_scalar,
     validate,
 )
 
 
 class SeparatedCoefficients(NamedTuple):
     """Unnormalized X-state entries of the unique stationary state:
-    populations (a, 2c, d)/u, inner coherence b/u, outer coherence z/u."""
+    populations (a, 2c, d)/u, inner coherence b/u, outer coherence z/u;
+    u = a + 2c + d.  Fields are arrays where the parameters are."""
 
     u: float
     a: float
@@ -44,7 +46,7 @@ class SeparatedCoefficients(NamedTuple):
 
 class DickeCoefficients(NamedTuple):
     """Unnormalized F-independent part of the Dicke stationary family;
-    satisfies a + c + d = u."""
+    u = a + c + d.  Fields are arrays where the parameters are."""
 
     u: float
     a: float
@@ -53,21 +55,49 @@ class DickeCoefficients(NamedTuple):
     z: complex
 
 
+def squeeze_deficit(bath: BathParams):
+    """beta = N(N+1) - |M|^2, the distance from minimum uncertainty.
+
+    Exactly 0 where |M| reaches the bound (the validated tolerance above
+    it included), and never negative.  The coefficient sets are written
+    in beta rather than in N(N+1) and |M|^2 separately: near the bound
+    those differ by O(1) while each is O(N^2), and the difference would
+    lose about 2 log10(N) digits (Higham, Accuracy and Stability of
+    Numerical Algorithms, ch. 1).
+    """
+    n, m = bath.n_mean, bath.m_abs
+    on_bound = np.greater_equal(m, bath.m_bound)
+    return np.where(on_bound, 0.0, np.maximum(n * (n + 1.0) - m * m, 0.0))
+
+
+def _outer_coherence(bath: BathParams, atoms: AtomParams, scale: float):
+    """z = -(1 + 2N - 2i delta) scale M, multiplied out in real arithmetic:
+    numpy's complex product on arrays can round differently from Python's
+    on scalars, and array scans must reproduce their scalar calls."""
+    w = 1.0 + 2.0 * bath.n_mean
+    two_delta = 2.0 * atoms.delta
+    mr = scale * bath.m_abs * math.cos(bath.m_phase)
+    mi = scale * bath.m_abs * math.sin(bath.m_phase)
+    return -(w * mr + two_delta * mi) - 1j * (w * mi - two_delta * mr)
+
+
 def unique_asymptotic_coefficients(bath: BathParams, atoms: AtomParams) -> SeparatedCoefficients:
-    """Coefficient set of the unique stationary state for gamma_hat < 1."""
+    """Coefficient set of the unique stationary state for gamma_hat < 1.
+
+    N, |M| and the detuning may be numpy arrays (broadcast together);
+    scalar parameters give float fields.
+    """
     n = bath.n_mean
     mm = bath.m_abs**2
     gh = atoms.gamma_hat
-    d2 = atoms.delta**2
-    w = 1.0 + 2.0 * n
-    core = w * w - 4.0 * mm + 4.0 * d2
-    u = w * w * (w * w + 4.0 * d2) + 4.0 * mm * (gh * gh - w * w)
+    # (1+2N)^2 - 4|M|^2 + 4 delta^2, with (1+2N)^2 = 1 + 4N(N+1)
+    core = 1.0 + 4.0 * squeeze_deficit(bath) + 4.0 * atoms.delta**2
     a = n * n * core + mm * gh * gh
     c = n * (n + 1.0) * core + mm * gh * gh
     d = (1.0 + n) ** 2 * core + mm * gh * gh
     b = -2.0 * gh * mm
-    z = -(w - 2j * atoms.delta) * gh * bath.m
-    return SeparatedCoefficients(u, a, c, d, b, z)
+    z = _outer_coherence(bath, atoms, gh)
+    return SeparatedCoefficients(*map(as_scalar, (a + 2.0 * c + d, a, c, d, b, z)))
 
 
 def dicke_asymptotic_coefficients(bath: BathParams, atoms: AtomParams) -> DickeCoefficients:
@@ -75,21 +105,20 @@ def dicke_asymptotic_coefficients(bath: BathParams, atoms: AtomParams) -> DickeC
 
     The detuning term of c carries the factor 4N(N+1), and d mirrors a
     under N -> N+1; both are fixed by stationarity under the generator
-    and by the trace identity a + c + d = u.
+    and by the trace identity a + c + d = u.  N, |M| and the detuning may
+    be numpy arrays (broadcast together); scalar parameters give float
+    fields.
     """
     n = bath.n_mean
     mm = bath.m_abs**2
     d2 = atoms.delta**2
     w = 1.0 + 2.0 * n
-    # roundoff at the minimum-uncertainty boundary can push this a few
-    # ulp negative; the physical bound keeps it >= 0
-    beta = max(n * (n + 1.0) - mm, 0.0)
-    u = w * w * (1.0 + 3.0 * n + 3.0 * n * n - 3.0 * mm) + 4.0 * (1.0 + 3.0 * n + 3.0 * n * n) * d2
+    beta = squeeze_deficit(bath)
     a = 4.0 * n * n * beta + mm + n * n * (1.0 + 4.0 * d2)
     c = w * w * beta + 4.0 * n * (n + 1.0) * d2
     d = 4.0 * (1.0 + n) ** 2 * beta + mm + (1.0 + n) ** 2 * (1.0 + 4.0 * d2)
-    z = -(w - 2j * atoms.delta) * bath.m
-    return DickeCoefficients(u, a, c, d, z)
+    z = _outer_coherence(bath, atoms, 1.0)
+    return DickeCoefficients(*map(as_scalar, (a + c + d, a, c, d, z)))
 
 
 def _xstate(p11: float, p22: float, p23: complex, p14: complex, p44: float) -> np.ndarray:

@@ -18,8 +18,8 @@ import argparse
 import json
 import math
 import sys
-from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass
+from functools import lru_cache
 
 import numpy as np
 
@@ -38,6 +38,7 @@ from .model import (
     NotNormalizedError,
     ParameterError,
     RegimeError,
+    as_matrix,
     fidelity_antisymmetric,
     validate,
 )
@@ -78,7 +79,9 @@ class ScanSpec:
             raise ParameterError(f"scan needs at least 2 samples, got {self.count}")
 
     def grid(self) -> np.ndarray:
-        return np.linspace(self.lo, self.hi, self.count)
+        # + 0.0 turns a -0.0 bound (``--n-min -0``) into 0.0, which the
+        # CSV would otherwise print as "-0"
+        return np.linspace(self.lo, self.hi, self.count) + 0.0
 
 
 # ---------------------------------------------------------------------------
@@ -96,7 +99,6 @@ _GLOBAL_DEFAULTS = {
     "delta": 0.0,
     "out": None,
     "format": "csv",
-    "jobs": 1,
 }
 
 _COMMAND_DEFAULTS = {
@@ -117,7 +119,6 @@ _CONFIG_KEYS = {
     "delta": ("delta", float),
     "out": ("out", str),
     "format": ("format", str),
-    "jobs": ("jobs", int),
 }
 
 
@@ -168,11 +169,15 @@ def _resolve(args: argparse.Namespace, command: str) -> dict:
     return merged
 
 
-def _build_params(vals: dict) -> tuple[BathParams, AtomParams]:
+def _bath(vals: dict, n_mean) -> BathParams:
+    """The resolved reservoir at ``n_mean`` (a number or an N grid)."""
     if vals["min_uncertainty"]:
-        bath = BathParams.minimum_uncertainty(vals["n_mean"], vals["m_phase"])
-    else:
-        bath = BathParams(vals["n_mean"], vals["m_abs"], vals["m_phase"])
+        return BathParams.minimum_uncertainty(n_mean, vals["m_phase"])
+    return BathParams(n_mean, vals["m_abs"], vals["m_phase"])
+
+
+def _build_params(vals: dict) -> tuple[BathParams, AtomParams]:
+    bath = _bath(vals, vals["n_mean"])
     atoms = AtomParams(
         gamma_hat=vals["gamma_hat"],
         gamma0=vals["gamma0"],
@@ -213,14 +218,16 @@ def _open_out(path):
 
 
 def write_table(path, command: str, meta_lines: list[str], header: list[str], rows) -> None:
+    """CSV with ``#`` metadata lines; ``rows`` is a 2-D array or a list of
+    equal-length numeric rows.  Each value prints as :func:`_fmt` prints a
+    float (``%.12g``; integers print the same way)."""
+    table = np.asarray(rows, dtype=float).reshape(-1, len(header)).tolist()
+    row_fmt = ",".join(["%.12g"] * len(header))
+    lines = [f"# sqatoms {command} v{__version__}", *(f"# {line}" for line in meta_lines),
+             ",".join(header), *(row_fmt % tuple(row) for row in table)]
     stream, owned = _open_out(path)
     try:
-        stream.write(f"# sqatoms {command} v{__version__}\n")
-        for line in meta_lines:
-            stream.write(f"# {line}\n")
-        stream.write(",".join(header) + "\n")
-        for row in rows:
-            stream.write(",".join(_fmt(v) for v in row) + "\n")
+        stream.write("\n".join(lines) + "\n")
     finally:
         if owned:
             stream.close()
@@ -265,13 +272,10 @@ def svg_line_plot(x, y, xlabel: str, ylabel: str, title: str,
     return "\n".join(parts) + "\n"
 
 
-def _emit(args, command: str, meta: list[str], header: list[str], rows,
+def _emit(args, command: str, meta: list[str], header: list[str], table: np.ndarray,
           xlabel: str, ylabel: str) -> None:
-    rows = list(rows)
     if args.resolved["format"] == "svg":
-        x = [row[0] for row in rows]
-        y = [row[1] for row in rows]
-        text = svg_line_plot(x, y, xlabel, ylabel, f"sqatoms {command}")
+        text = svg_line_plot(table[:, 0], table[:, 1], xlabel, ylabel, f"sqatoms {command}")
         stream, owned = _open_out(args.resolved["out"])
         try:
             stream.write(text)
@@ -279,14 +283,7 @@ def _emit(args, command: str, meta: list[str], header: list[str], rows,
             if owned:
                 stream.close()
     else:
-        write_table(args.resolved["out"], command, meta, header, rows)
-
-
-def _map_grid(fn, values, jobs: int):
-    if jobs > 1:
-        with ThreadPoolExecutor(max_workers=jobs) as pool:
-            return list(pool.map(fn, values))
-    return [fn(v) for v in values]
+        write_table(args.resolved["out"], command, meta, header, table)
 
 
 # ---------------------------------------------------------------------------
@@ -361,20 +358,16 @@ _EVOLVE_HEADER = [
 ]
 
 
-def _trajectory_rows(states, times):
-    for t, state in zip(times, states):
-        coll = state.in_basis(COLLECTIVE).matrix
-        yield (
-            t,
-            coll[0, 0].real,
-            coll[1, 1].real,
-            coll[2, 2].real,
-            coll[3, 3].real,
-            coll[0, 3].real,
-            coll[0, 3].imag,
-            concurrence(state),
-            fidelity_antisymmetric(state),
-        )
+def _trajectory_table(states, times) -> np.ndarray:
+    table = np.empty((len(times), len(_EVOLVE_HEADER)))
+    table[:, 0] = times
+    for row, state in zip(table, states):
+        coll = as_matrix(state, COLLECTIVE)
+        row[1:5] = coll.diagonal().real
+        row[5:7] = coll[0, 3].real, coll[0, 3].imag
+        row[7] = concurrence(state)
+        row[8] = coll[2, 2].real  # fidelity_antisymmetric(state), from the view at hand
+    return table
 
 
 def cmd_evolve(args) -> int:
@@ -390,7 +383,7 @@ def cmd_evolve(args) -> int:
         _param_echo(bath, atoms),
         f"init={args.init} t={_fmt(args.t)} samples={args.samples}",
     ]
-    _emit(args, "evolve", meta, _EVOLVE_HEADER, _trajectory_rows(states, times),
+    _emit(args, "evolve", meta, _EVOLVE_HEADER, _trajectory_table(states, times),
           "t [1/gamma0]", "rho_ee")
     return 0
 
@@ -451,34 +444,35 @@ def _parse_deltas(text: str) -> list[float]:
     return vals
 
 
-def cmd_fig1(args) -> int:
+def _n_delta_scan(args, command: str, lead: str, concurrence_of) -> int:
+    """Concurrence over the N grid (rows) x the ``--deltas`` list (columns)
+    as one array call of ``concurrence_of(bath, atoms)``."""
     vals = args.resolved
     deltas = _parse_deltas(args.deltas)
     spec = ScanSpec("N", args.n_min, args.n_max, args.points)
-    if vals["gamma_hat"] >= 1.0:
+    grid = spec.grid()
+    if command == "fig1" and vals["gamma_hat"] >= 1.0:
         raise RegimeError("this scan needs separated atoms (gamma_hat < 1)")
-
-    def column(delta: float) -> np.ndarray:
-        atoms = AtomParams(gamma_hat=vals["gamma_hat"], gamma0=vals["gamma0"],
-                           omega_dd=vals["omega_dd"], delta=delta)
-        out = np.empty(spec.count)
-        for i, n in enumerate(spec.grid()):
-            bath = (BathParams.minimum_uncertainty(n, vals["m_phase"])
-                    if vals["min_uncertainty"] else BathParams(n, vals["m_abs"], vals["m_phase"]))
-            out[i] = concurrence_unique(bath, atoms)
-        return out
-
-    cols = _map_grid(column, deltas, vals["jobs"])
-    header = ["N"] + [f"C_delta={_fmt(d)}" for d in deltas]
+    if command == "fig3" and vals["gamma_hat"] != 1.0:
+        raise RegimeError("this scan needs the Dicke regime (gamma_hat = 1)")
+    atoms = AtomParams(gamma_hat=vals["gamma_hat"], gamma0=vals["gamma0"],
+                       omega_dd=vals["omega_dd"], delta=np.array(deltas)[None, :])
+    table = np.empty((spec.count, 1 + len(deltas)))
+    table[:, 0] = grid
+    table[:, 1:] = concurrence_of(_bath(vals, grid[:, None]), atoms)
     meta = [
-        f"gamma_hat={_fmt(vals['gamma_hat'])} "
-        f"min_uncertainty={vals['min_uncertainty']} Mabs={_fmt(vals['m_abs'])} "
+        f"{lead} min_uncertainty={vals['min_uncertainty']} Mabs={_fmt(vals['m_abs'])} "
         f"Mphase={_fmt(vals['m_phase'])} omega_dd={_fmt(vals['omega_dd'])}",
         f"deltas={args.deltas} n_range=[{_fmt(args.n_min)},{_fmt(args.n_max)}] points={spec.count}",
     ]
-    rows = (tuple([n] + [c[i] for c in cols]) for i, n in enumerate(spec.grid()))
-    _emit(args, "fig1", meta, header, rows, "N", "concurrence")
+    header = ["N"] + [f"C_delta={_fmt(d)}" for d in deltas]
+    _emit(args, command, meta, header, table, "N", "concurrence")
     return 0
+
+
+def cmd_fig1(args) -> int:
+    return _n_delta_scan(args, "fig1", f"gamma_hat={_fmt(args.resolved['gamma_hat'])}",
+                         concurrence_unique)
 
 
 def cmd_fig2(args) -> int:
@@ -486,48 +480,20 @@ def cmd_fig2(args) -> int:
     spec = ScanSpec("F", args.f_min, args.f_max, args.points)
     bath, atoms = _build_params(vals)
     thr = thresholds(bath, atoms)
-
-    def point(f: float) -> float:
-        return asymptotic_concurrence(bath, atoms, f)
-
-    cvals = _map_grid(point, spec.grid(), vals["jobs"])
+    grid = spec.grid()
+    table = np.column_stack([grid, asymptotic_concurrence(bath, atoms, grid)])
     meta = [
         _param_echo(bath, atoms),
         f"F_cr={_fmt(thr.f_cr)} F1={_fmt(thr.f1)} F2={_fmt(thr.f2)}",
         f"f_range=[{_fmt(args.f_min)},{_fmt(args.f_max)}] points={spec.count}",
     ]
-    rows = ((f, c) for f, c in zip(spec.grid(), cvals))
-    _emit(args, "fig2", meta, ["F", "C"], rows, "F", "concurrence")
+    _emit(args, "fig2", meta, ["F", "C"], table, "F", "concurrence")
     return 0
 
 
 def cmd_fig3(args) -> int:
-    vals = args.resolved
-    deltas = _parse_deltas(args.deltas)
-    spec = ScanSpec("N", args.n_min, args.n_max, args.points)
-    if vals["gamma_hat"] != 1.0:
-        raise RegimeError("this scan needs the Dicke regime (gamma_hat = 1)")
-
-    def column(delta: float) -> np.ndarray:
-        atoms = AtomParams(gamma_hat=1.0, gamma0=vals["gamma0"],
-                           omega_dd=vals["omega_dd"], delta=delta)
-        out = np.empty(spec.count)
-        for i, n in enumerate(spec.grid()):
-            bath = (BathParams.minimum_uncertainty(n, vals["m_phase"])
-                    if vals["min_uncertainty"] else BathParams(n, vals["m_abs"], vals["m_phase"]))
-            out[i] = asymptotic_concurrence(bath, atoms, 0.0)
-        return out
-
-    cols = _map_grid(column, deltas, vals["jobs"])
-    header = ["N"] + [f"C_delta={_fmt(d)}" for d in deltas]
-    meta = [
-        f"F=0 min_uncertainty={vals['min_uncertainty']} Mabs={_fmt(vals['m_abs'])} "
-        f"Mphase={_fmt(vals['m_phase'])} omega_dd={_fmt(vals['omega_dd'])}",
-        f"deltas={args.deltas} n_range=[{_fmt(args.n_min)},{_fmt(args.n_max)}] points={spec.count}",
-    ]
-    rows = (tuple([n] + [c[i] for c in cols]) for i, n in enumerate(spec.grid()))
-    _emit(args, "fig3", meta, header, rows, "N", "concurrence")
-    return 0
+    return _n_delta_scan(args, "fig3", "F=0",
+                         lambda bath, atoms: asymptotic_concurrence(bath, atoms, 0.0))
 
 
 def cmd_decompose(args) -> int:
@@ -626,11 +592,13 @@ def _shared_flags() -> argparse.ArgumentParser:
     out.add_argument("--out", dest="out", help="output path ('-' for stdout)")
     out.add_argument("--format", dest="format", choices=("csv", "svg"), help="output format")
     out.add_argument("--config", dest="config", help="key=value config file (flags win)")
-    out.add_argument("--jobs", dest="jobs", type=int, help="parallel workers for scans")
     return shared
 
 
+@lru_cache(maxsize=1)
 def build_parser() -> argparse.ArgumentParser:
+    """The ``sqatoms`` parser, built once per process (about 2 ms) and
+    shared by every :func:`main` call; parsing leaves it unchanged."""
     shared = _shared_flags()
     parser = _Parser(
         prog="sqatoms",

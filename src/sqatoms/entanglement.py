@@ -19,6 +19,8 @@ from .model import (
     FidelityRangeError,
     RegimeError,
     as_matrix,
+    as_scalar,
+    first_violation,
     validate,
 )
 from .asymptotic import (
@@ -83,14 +85,31 @@ def concurrence_x(rho, off_x_tol: float = 1e-12) -> float:
     return max(0.0, c1, c2)
 
 
+def _modulus(z):
+    """|z| as hypot(re, im): numpy's complex absolute value on arrays can
+    differ from the scalar one in the last bit, np.hypot does not, so an
+    array scan reproduces its scalar calls exactly."""
+    return np.hypot(z.real, z.imag)
+
+
+def _positive_part(x):
+    """max(0, x) elementwise, as +0.0 wherever x <= 0 (np.maximum would
+    keep a -0.0, which the CSV writer prints as "-0")."""
+    return as_scalar(np.where(x > 0.0, x, 0.0))
+
+
 def concurrence_unique(bath: BathParams, atoms: AtomParams) -> float:
     """Concurrence of the unique stationary state (gamma_hat < 1), from its
-    coefficient set: 2 max(0, (|z|-c)/u, (|b|-sqrt(ad))/u)."""
+    coefficient set: 2 max(0, (|z|-c)/u, (|b|-sqrt(ad))/u).
+
+    N, |M| and the detuning may be numpy arrays; the result then has
+    their broadcast shape, and a float for scalar parameters.
+    """
     validate(bath, atoms)
     if atoms.gamma_hat >= 1.0:
         raise RegimeError("unique-state concurrence requires gamma_hat < 1")
     u, a, c, d, b, z = unique_asymptotic_coefficients(bath, atoms)
-    return 2.0 * max(0.0, (abs(z) - c) / u, (abs(b) - math.sqrt(a * d)) / u)
+    return _positive_part(2.0 * np.maximum(_modulus(z) - c, np.abs(b) - np.sqrt(a * d)) / u)
 
 
 @dataclass(frozen=True)
@@ -126,19 +145,21 @@ def asymptotic_concurrence(bath: BathParams, atoms: AtomParams, fidelity: float)
 
     Evaluates the X-form branches on the closed-form matrix elements, so
     the result is exact for every F: affine and positive below F1, zero on
-    [F1, F2], affine and rising to 1 above F2.
+    [F1, F2], affine and rising to 1 above F2.  N, |M|, the detuning and F
+    may be numpy arrays; the result then has their broadcast shape, and a
+    float for scalar arguments.
     """
     validate(bath, atoms)
     if atoms.gamma_hat != 1.0:
         raise RegimeError("asymptotic concurrence of the family requires gamma_hat = 1")
-    if not 0.0 <= fidelity <= 1.0:
-        raise FidelityRangeError(f"fidelity must lie in [0, 1], got {fidelity}")
-    u, a, c, d, z = dicke_asymptotic_coefficients(bath, atoms)
     f = fidelity
+    if hit := first_violation(np.logical_not((f >= 0.0) & (f <= 1.0)), f):
+        raise FidelityRangeError(f"fidelity must lie in [0, 1], got {hit[0]}")
+    u, a, c, d, z = dicke_asymptotic_coefficients(bath, atoms)
     r = (1.0 - f) / u
-    c1 = 2.0 * (r * abs(z) - (r * c / 2.0 + f / 2.0))
-    c2 = 2.0 * (abs(r * c / 2.0 - f / 2.0) - r * math.sqrt(a * d))
-    return max(0.0, c1, c2)
+    c1 = 2.0 * (r * _modulus(z) - (r * c / 2.0 + f / 2.0))
+    c2 = 2.0 * (np.abs(r * c / 2.0 - f / 2.0) - r * np.sqrt(a * d))
+    return _positive_part(np.maximum(c1, c2))
 
 
 def resonant_min_uncertainty_profile(n_mean: float, fidelity: float) -> float:

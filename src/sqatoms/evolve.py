@@ -24,6 +24,7 @@ from .model import (
     BathParams,
     DensityMatrix,
     as_matrix,
+    rotate,
     validate,
 )
 from .liouvillian import build_generator
@@ -62,7 +63,7 @@ def _finalize(y_collective: np.ndarray, steps: int) -> IntegrationResult:
     sym = (y_collective + y_collective.conj().T) / 2.0
     sym /= sym.trace().real
     correction = float(np.max(np.abs(sym - y_collective)))
-    rho = DensityMatrix(sym, COLLECTIVE).in_basis(CANONICAL)
+    rho = DensityMatrix(rotate(sym, COLLECTIVE, CANONICAL), CANONICAL)
     return IntegrationResult(state=rho, correction=correction, steps=steps)
 
 
@@ -94,24 +95,27 @@ def trajectory(rho0, bath: BathParams, atoms: AtomParams, times) -> list[Density
     """States sampled at the given (sorted, nonnegative) times.
 
     Each gap between samples is bridged by exp(dt L), computed once per
-    distinct gap, so a uniform grid costs a few ``expm`` calls plus one
-    16x16 matrix-vector product per sample.
+    distinct gap.  Gaps equal to within 1e-12 relative (``np.linspace``
+    gaps differ in their last bits) count as one, so a uniform grid costs
+    one ``expm`` call plus one 16x16 matrix-vector product per sample.
     """
     gen = build_generator(bath, atoms, COLLECTIVE).matrix
     y = _to_collective_vector(rho0)
+    times = np.asarray(times, dtype=float)
+    gaps = np.diff(times, prepend=0.0)
+    if (gaps < 0.0).any():
+        raise ValueError("sample times must be nondecreasing")
+    inner = gaps[1:]
+    if inner.size and np.ptp(inner) <= 1e-12 * inner.max():
+        inner[:] = (times[-1] - times[0]) / inner.size
     propagators: dict[float, np.ndarray] = {}
     out = []
-    t_prev = 0.0
-    for t in times:
-        dt = t - t_prev
-        if dt < 0.0:
-            raise ValueError("sample times must be nondecreasing")
+    for dt in gaps.tolist():
         if dt > 0.0:
             prop = propagators.get(dt)
             if prop is None:
                 prop = propagators[dt] = expm(dt * gen)
             y = prop @ y
-        t_prev = t
         out.append(_finalize(y, 0).state)
     return out
 
@@ -201,7 +205,7 @@ def evolve_to_stationary(rho0, bath: BathParams, atoms: AtomParams,
 
 def _to_collective_vector(rho) -> np.ndarray:
     """Row-major vectorized collective-basis matrix of a state."""
-    if isinstance(rho, DensityMatrix):
-        return rho.in_basis(COLLECTIVE).matrix.reshape(16)
-    # raw arrays are taken as canonical
-    return as_matrix(DensityMatrix(np.asarray(rho, dtype=complex), CANONICAL), COLLECTIVE).reshape(16)
+    if not isinstance(rho, DensityMatrix):
+        # raw arrays are taken as canonical, and validated once here
+        rho = DensityMatrix(np.asarray(rho, dtype=complex), CANONICAL)
+    return as_matrix(rho, COLLECTIVE).reshape(16)

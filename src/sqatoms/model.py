@@ -87,7 +87,10 @@ class BathParams:
 
     The physical bound is ``m_abs <= sqrt(n_mean * (n_mean + 1))``, with
     equality for minimum-uncertainty squeezing.  Construction does not
-    enforce the bound; call :func:`validate`.
+    enforce the bound; call :func:`validate`.  ``n_mean`` and ``m_abs``
+    may be numpy arrays (broadcast against each other and against the
+    detuning), which the closed forms evaluate elementwise; the phase is
+    a scalar.
     """
 
     n_mean: float
@@ -101,12 +104,13 @@ class BathParams:
 
     @property
     def m_bound(self) -> float:
-        return math.sqrt(self.n_mean * (self.n_mean + 1.0)) if self.n_mean > 0 else 0.0
+        """sqrt(N(N+1)), and 0 for N <= 0."""
+        return squeeze_bound(self.n_mean)
 
     @classmethod
     def minimum_uncertainty(cls, n_mean: float, m_phase: float = 0.0) -> "BathParams":
         """Bath on the minimum-uncertainty boundary |M| = sqrt(N(N+1))."""
-        return cls(n_mean=n_mean, m_abs=math.sqrt(max(n_mean, 0.0) * (n_mean + 1.0)), m_phase=m_phase)
+        return cls(n_mean=n_mean, m_abs=squeeze_bound(n_mean), m_phase=m_phase)
 
 
 @dataclass(frozen=True)
@@ -130,8 +134,40 @@ class AtomParams:
         return self.omega_dd / self.gamma0
 
 
+def as_scalar(x):
+    """A 0-d result as a Python float (or complex); arrays pass through."""
+    return x.item() if getattr(x, "ndim", None) == 0 else x
+
+
+def squeeze_bound(n_mean):
+    """sqrt(N(N+1)) elementwise, 0 where N <= 0.
+
+    :meth:`BathParams.minimum_uncertainty` and :func:`validate` share this
+    one expression, so a minimum-uncertainty bath sits exactly on the
+    bound that validation and the closed forms compare against.
+    """
+    n = np.maximum(n_mean, 0.0)
+    return as_scalar(np.sqrt(n * (n + 1.0)))
+
+
+def first_violation(cond, *values):
+    """None if ``cond`` holds nowhere; else each of ``values`` (broadcast
+    against ``cond``) at the first position where it holds.  ``cond`` is a
+    bool for scalar parameters and a bool array otherwise."""
+    if not (cond.any() if isinstance(cond, np.ndarray) else cond):
+        return None
+    cond = np.asarray(cond)
+    i = int(cond.argmax())
+    return tuple(np.broadcast_to(v, cond.shape).flat[i].item() for v in values)
+
+
 def validate(bath: BathParams, atoms: AtomParams) -> tuple[BathParams, AtomParams]:
     """Check both parameter sets and return them unchanged.
+
+    Every field may be a scalar or a numpy array; arrays are checked
+    elementwise and an error names the first offending value.  The checks
+    are plain comparisons, which numpy broadcasts over arrays and which
+    cost no ufunc dispatch on Python floats.
 
     Raises
     ------
@@ -140,29 +176,29 @@ def validate(bath: BathParams, atoms: AtomParams) -> tuple[BathParams, AtomParam
         naming the violated invariant.
     """
     # every range check below is a comparison, and comparisons with NaN
-    # are false, so finiteness comes first
-    isfinite = math.isfinite
-    if not (isfinite(bath.n_mean) and isfinite(bath.m_abs) and isfinite(bath.m_phase)
-            and isfinite(atoms.gamma_hat) and isfinite(atoms.gamma0)
-            and isfinite(atoms.omega_dd) and isfinite(atoms.delta)):
-        fields = {"N": bath.n_mean, "|M|": bath.m_abs, "M phase": bath.m_phase,
-                  "gamma_hat": atoms.gamma_hat, "gamma0": atoms.gamma0,
-                  "omega_dd": atoms.omega_dd, "delta": atoms.delta}
-        bad = ", ".join(f"{k} = {v}" for k, v in fields.items() if not isfinite(v))
-        raise NonFiniteError(f"parameters must be finite, got {bad}")
-    if bath.n_mean < 0.0:
-        raise ParameterError(f"mean photon number must be >= 0, got {bath.n_mean}")
-    if bath.m_abs < 0.0:
-        raise ParameterError(f"|M| must be >= 0, got {bath.m_abs}")
+    # are false, so finiteness comes first (NaN is unequal to itself)
+    fields = {"N": bath.n_mean, "|M|": bath.m_abs, "M phase": bath.m_phase,
+              "gamma_hat": atoms.gamma_hat, "gamma0": atoms.gamma0,
+              "omega_dd": atoms.omega_dd, "delta": atoms.delta}
+    bad = [f"{name} = {hit[0]}" for name, value in fields.items()
+           if (hit := first_violation((value != value) | (abs(value) == math.inf), value))]
+    if bad:
+        raise NonFiniteError(f"parameters must be finite, got {', '.join(bad)}")
+    n, m = bath.n_mean, bath.m_abs
+    if hit := first_violation(n < 0.0, n):
+        raise ParameterError(f"mean photon number must be >= 0, got {hit[0]}")
+    if hit := first_violation(m < 0.0, m):
+        raise ParameterError(f"|M| must be >= 0, got {hit[0]}")
     bound = bath.m_bound
-    if bath.m_abs > bound * (1.0 + 1e-14) + 1e-300:
+    if hit := first_violation(m > bound * (1.0 + 1e-14) + 1e-300, m, bound, n):
         raise MSqueezeBoundError(
-            f"|M| = {bath.m_abs} exceeds sqrt(N(N+1)) = {bound} for N = {bath.n_mean}"
+            f"|M| = {hit[0]} exceeds sqrt(N(N+1)) = {hit[1]} for N = {hit[2]}"
         )
-    if atoms.gamma0 <= 0.0:
-        raise NegativeRateError(f"gamma0 must be > 0, got {atoms.gamma0}")
-    if not 0.0 <= atoms.gamma_hat <= 1.0:
-        raise GammaHatRangeError(f"gamma_hat must lie in [0, 1], got {atoms.gamma_hat}")
+    if hit := first_violation(atoms.gamma0 <= 0.0, atoms.gamma0):
+        raise NegativeRateError(f"gamma0 must be > 0, got {hit[0]}")
+    gh = atoms.gamma_hat
+    if hit := first_violation((gh < 0.0) | (gh > 1.0), gh):
+        raise GammaHatRangeError(f"gamma_hat must lie in [0, 1], got {hit[0]}")
     return bath, atoms
 
 
@@ -210,27 +246,31 @@ class DensityMatrix:
     def in_basis(self, basis: str) -> "DensityMatrix":
         if basis == self.basis:
             return self
-        if basis == COLLECTIVE:
-            return to_collective(self)
-        if basis == CANONICAL:
-            return from_collective(self)
-        raise ValueError(f"unknown basis tag {basis!r}")
+        if basis not in (CANONICAL, COLLECTIVE):
+            raise ValueError(f"unknown basis tag {basis!r}")
+        return DensityMatrix(rotate(self.matrix, self.basis, basis), basis)
+
+
+def rotate(m: np.ndarray, basis: str, target: str) -> np.ndarray:
+    """Raw 4x4 array ``m``, expressed in ``basis``, re-expressed in
+    ``target``; no validation, so rotating a state already checked costs
+    two matrix products and no eigenvalues."""
+    if basis == target:
+        return m
+    u = COLLECTIVE_BASIS_MAP
+    if target == COLLECTIVE:
+        return u @ m @ u.conj().T
+    return u.conj().T @ m @ u
 
 
 def to_collective(rho: DensityMatrix) -> DensityMatrix:
     """Rotate a canonical-basis state into the collective basis."""
-    if rho.basis == COLLECTIVE:
-        return rho
-    u = COLLECTIVE_BASIS_MAP
-    return DensityMatrix(u @ rho.matrix @ u.conj().T, COLLECTIVE)
+    return rho.in_basis(COLLECTIVE)
 
 
 def from_collective(rho: DensityMatrix) -> DensityMatrix:
     """Rotate a collective-basis state back to the canonical basis."""
-    if rho.basis == CANONICAL:
-        return rho
-    u = COLLECTIVE_BASIS_MAP
-    return DensityMatrix(u.conj().T @ rho.matrix @ u, CANONICAL)
+    return rho.in_basis(CANONICAL)
 
 
 def as_matrix(rho, basis: str = CANONICAL) -> np.ndarray:
@@ -239,7 +279,7 @@ def as_matrix(rho, basis: str = CANONICAL) -> np.ndarray:
     Plain arrays are trusted to already be expressed in ``basis``.
     """
     if isinstance(rho, DensityMatrix):
-        return rho.in_basis(basis).matrix
+        return rotate(rho.matrix, rho.basis, basis)
     return np.asarray(rho, dtype=complex)
 
 
@@ -251,10 +291,8 @@ def fidelity_antisymmetric(rho) -> float:
     so it agrees with :func:`to_collective` exactly.
     """
     if isinstance(rho, DensityMatrix):
-        return float(rho.in_basis(COLLECTIVE).matrix[2, 2].real)
-    m = np.asarray(rho, dtype=complex)
-    u = COLLECTIVE_BASIS_MAP
-    return float((u @ m @ u.conj().T)[2, 2].real)
+        return float(as_matrix(rho, COLLECTIVE)[2, 2].real)
+    return float(rotate(np.asarray(rho, dtype=complex), CANONICAL, COLLECTIVE)[2, 2].real)
 
 
 def product_state_fidelity(phi: np.ndarray, psi: np.ndarray) -> float:

@@ -1,4 +1,5 @@
 import math
+from fractions import Fraction
 
 import numpy as np
 import pytest
@@ -276,3 +277,112 @@ class TestDecompose:
             assert mix.p + mix.q <= 1.0 + 1e-12
             target = dicke_asymptotic(bath, atoms, f)
             assert np.max(np.abs(mix.reconstruction().matrix - target.matrix)) < 1e-10
+
+
+def _exact_populations(n, mm, gamma_hat, delta, dicke):
+    """Populations and inner coherence of the closed forms divided by u,
+    in exact rational arithmetic on the expanded N, |M|^2 polynomials
+    (the form that cancels in floating point near the |M| bound)."""
+    n, mm, g, d2 = Fraction(n), Fraction(mm), Fraction(gamma_hat), Fraction(delta) ** 2
+    w = 1 + 2 * n
+    if dicke:
+        beta = n * (n + 1) - mm
+        u = w * w * (1 + 3 * n + 3 * n * n - 3 * mm) + 4 * (1 + 3 * n + 3 * n * n) * d2
+        a = 4 * n * n * beta + mm + n * n * (1 + 4 * d2)
+        c = w * w * beta + 4 * n * (n + 1) * d2
+        d = 4 * (1 + n) ** 2 * beta + mm + (1 + n) ** 2 * (1 + 4 * d2)
+        return [a / u, c / u, d / u]
+    core = w * w - 4 * mm + 4 * d2
+    u = w * w * (w * w + 4 * d2) + 4 * mm * (g * g - w * w)
+    a = n * n * core + mm * g * g
+    c = n * (n + 1) * core + mm * g * g
+    d = (1 + n) ** 2 * core + mm * g * g
+    return [a / u, c / u, d / u, -2 * g * mm / u]
+
+
+class TestCancellationNearTheBound:
+    """The closed forms are written in beta = N(N+1) - |M|^2, which is
+    exactly 0 on the minimum-uncertainty boundary; in the expanded form
+    u lost about 2 log10(N) digits there and the state failed its trace
+    check for N >= 100 (separated) and N >= 500 (Dicke)."""
+
+    @pytest.mark.parametrize("n", [1e2, 1e3, 1e6, 1e8])
+    @pytest.mark.parametrize("gamma_hat", [0.0, 0.85, 1.0 - 1e-9])
+    def test_unique_state_on_the_bound(self, n, gamma_hat):
+        delta = 0.7
+        rho = unique_asymptotic(BathParams.minimum_uncertainty(n, 0.4),
+                                AtomParams(gamma_hat=gamma_hat, delta=delta)).matrix
+        # oracle: the ideal boundary |M|^2 = N(N+1), evaluated exactly
+        want = _exact_populations(n, n * (1 + Fraction(n)), gamma_hat, delta, dicke=False)
+        got = [rho[0, 0].real, rho[1, 1].real, rho[3, 3].real, rho[1, 2].real]
+        assert np.allclose(got, [float(v) for v in want], rtol=1e-12, atol=1e-15)
+
+    @pytest.mark.parametrize("n", [1e2, 1e3, 1e6, 1e8])
+    @pytest.mark.parametrize("delta", [0.0, 0.7])
+    def test_dicke_state_on_the_bound(self, n, delta):
+        f = 0.25
+        rho = dicke_asymptotic(BathParams.minimum_uncertainty(n, 0.4),
+                               AtomParams(gamma_hat=1.0, delta=delta), f).matrix
+        a, c, d = (float(v) * (1.0 - f) for v in
+                   _exact_populations(n, n * (1 + Fraction(n)), 1.0, delta, dicke=True))
+        got = [rho[0, 0].real, rho[1, 1].real + rho[2, 1].real, rho[3, 3].real]
+        assert np.allclose(got, [a, c, d], rtol=1e-12, atol=1e-15)
+        assert fidelity_antisymmetric(rho) == pytest.approx(f, abs=1e-15)
+
+    def test_beta_is_exactly_zero_on_the_bound(self):
+        for n in (0.0, 1e-8, 0.3, 7.0, 1e3, 1e6):
+            bath = BathParams.minimum_uncertainty(n, 1.1)
+            _, _, c, _, _ = dicke_asymptotic_coefficients(bath, AtomParams(gamma_hat=1.0))
+            assert c == 0.0  # c = (1+2N)^2 beta + 4N(N+1) delta^2
+
+    @pytest.mark.parametrize("n", [1e3, 1e6])
+    def test_interior_points_match_exact_arithmetic(self, n):
+        # strictly inside the bound the expanded form is exact in rationals
+        # on the given doubles; the beta form must reproduce it
+        for frac in (0.5, 0.99, 0.999999):
+            bath = BathParams(n, frac * math.sqrt(n * (n + 1.0)), 0.2)
+            for dicke in (False, True):
+                atoms = AtomParams(gamma_hat=1.0 if dicke else 0.85, delta=0.3)
+                coeffs = (dicke_asymptotic_coefficients if dicke
+                          else unique_asymptotic_coefficients)(bath, atoms)
+                got = [coeffs.a / coeffs.u, coeffs.c / coeffs.u, coeffs.d / coeffs.u]
+                if not dicke:
+                    got.append(coeffs.b / coeffs.u)
+                want = _exact_populations(n, bath.m_abs**2, atoms.gamma_hat, 0.3, dicke)
+                # beta itself carries the rounding of N(N+1) and |M|^2
+                assert np.allclose(got, [float(v) for v in want], rtol=1e-9, atol=1e-15)
+
+    def test_trace_identities_hold_by_construction(self, rng):
+        for _ in range(50):
+            bath = random_bath(rng, n_hi=1e6)
+            atoms = random_atoms(rng)
+            u, a, c, d, _, _ = unique_asymptotic_coefficients(bath, atoms)
+            assert a + 2.0 * c + d == u
+            u, a, c, d, _ = dicke_asymptotic_coefficients(bath, AtomParams(1.0, delta=atoms.delta))
+            assert a + c + d == u
+
+
+class TestArrayCoefficients:
+    def test_arrays_match_the_scalar_path(self, rng):
+        ns = np.concatenate([[0.0, 1e-8, 1e3], rng.uniform(0.0, 5.0, 9)])
+        fracs = rng.uniform(0.0, 1.0, ns.size)
+        fracs[::4] = 1.0  # a share of the draws on the |M| bound
+        ms = fracs * np.sqrt(ns * (ns + 1.0))
+        deltas = np.concatenate([[0.0], rng.uniform(-3.0, 3.0, 4)])
+        shape = (ns.size, deltas.size)
+        for min_unc in (True, False):
+            def bath_at(n, m):
+                return BathParams.minimum_uncertainty(n, 0.7) if min_unc else BathParams(n, m, 0.7)
+
+            for gamma_hat in (0.0, 0.6, 1.0 - 1e-12, 1.0):
+                fn = (dicke_asymptotic_coefficients if gamma_hat == 1.0
+                      else unique_asymptotic_coefficients)
+                arrays = fn(bath_at(ns[:, None], ms[:, None]),
+                            AtomParams(gamma_hat=gamma_hat, delta=deltas[None, :]))
+                for i, j in np.ndindex(shape):
+                    scalar = fn(bath_at(float(ns[i]), float(ms[i])),
+                                AtomParams(gamma_hat=gamma_hat, delta=float(deltas[j])))
+                    for got, want in zip(arrays, scalar):
+                        assert isinstance(want, (float, complex))
+                        got = np.broadcast_to(got, shape)[i, j]
+                        assert abs(got - want) <= 1e-15 * abs(want)

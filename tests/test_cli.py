@@ -173,10 +173,62 @@ class TestScanCommands:
         _, out2, _ = run(capsys, "fig2", "--points", "40")
         assert out1 == out2
 
-    def test_parallel_jobs_match_serial(self, capsys):
-        _, out1, _ = run(capsys, "fig3", "--points", "31")
-        _, out2, _ = run(capsys, "fig3", "--points", "31", "--jobs", "3")
-        assert out1 == out2
+    @pytest.mark.parametrize("argv, code", [
+        (("fig1", "--Mabs", "2"), 1),              # the N grid crosses the |M| bound
+        (("fig3", "--Mabs", "2"), 1),
+        (("fig1", "--deltas", "nan,0.5"), 1),
+        (("fig3", "--deltas", "0.5,inf"), 1),
+        (("fig1", "--n-min", "-0.5"), 1),
+        (("fig3", "--n-min", "-0.5"), 1),
+        (("fig1", "--gamma0", "-1"), 1),
+        (("fig2", "--gamma0", "-1"), 1),
+        (("fig1", "--gamma-hat", "1"), 2),
+        (("fig3", "--gamma-hat", "0.5"), 2),
+        (("fig2", "--gamma-hat", "0.5"), 2),
+    ])
+    def test_scan_error_paths_keep_their_exit_codes(self, capsys, argv, code):
+        got, out, err = run(capsys, *argv, "--points", "11")
+        assert got == code, err
+        assert out == "" and err.startswith("error: ")
+
+    def test_scans_print_no_negative_zero(self, capsys):
+        # thermal baths and wide separable windows give many exact zeros
+        for argv in (("fig1", "--Mabs", "0", "--n-min", "-0"),
+                     ("fig2", "--f-min", "-0"),
+                     ("fig1", "--deltas", "-3,0,3", "--n-max", "8"),
+                     ("fig3", "--deltas", "-2,0,0.8", "--n-max", "8"),
+                     ("fig2", "--N", "2", "--Mabs", "0.5", "--delta", "-1.5")):
+            code, out, _ = run(capsys, *argv, "--points", "101")
+            assert code == 0
+            _, _, rows = parse_csv(out)
+            assert np.any(rows[:, 1:] == 0.0)
+            cells = [c for ln in out.splitlines() if not ln.startswith("#") for c in ln.split(",")]
+            assert "-0" not in cells
+
+    def test_rows_print_as_fmt_prints_each_value(self, capsys, tmp_path):
+        from sqatoms.cli import _fmt, write_table
+
+        values = [0.0, -0.0, 1.0, -2.5, 1e-300, 5e-324, 1.2345678901234567, -9.87654321e15,
+                  1e16, 123456789012.0, 1234567890123.0, 0.1 + 0.2, math.pi * 1e-7,
+                  math.nan, math.inf, -math.inf]
+        rng = np.random.default_rng(7)
+        table = np.concatenate([values, rng.standard_normal(200) * 10.0 ** rng.integers(-20, 20, 200)])
+        table = table.reshape(-1, 4)
+        path = tmp_path / "t.csv"
+        write_table(str(path), "test", ["meta"], ["a", "b", "c", "d"], table)
+        body = path.read_text().splitlines()[3:]
+        assert body == [",".join(_fmt(v) for v in row) for row in table.tolist()]
+        # integer cells (the steady matrix indices) print as _fmt prints them too
+        write_table(str(path), "test", [], ["i", "j", "re"], [(0, 3, -0.25), (3, 0, 0.5)])
+        assert path.read_text().splitlines()[2:] == ["0,3,-0.25", "3,0,0.5"]
+
+    def test_parser_is_built_once(self):
+        from sqatoms.cli import build_parser
+
+        assert build_parser() is build_parser()
+        first = build_parser().parse_args(["fig1", "--deltas", "1,2"])
+        again = build_parser().parse_args(["fig1"])
+        assert first.deltas == "1,2" and again.deltas == "0,0.5,1"
 
     def test_svg_output(self, capsys, tmp_path):
         out_path = tmp_path / "fig2.svg"
@@ -207,6 +259,14 @@ class TestSteadyCommand:
         code, _, err = run(capsys, "steady", "--N", "1", "--Mabs", "0.5", "--gamma-hat", "1")
         assert code == 1
         assert "--fidelity" in err
+
+    @pytest.mark.parametrize("gamma_hat, extra", [("1", ("--fidelity", "0")), ("0.85", ())])
+    def test_large_n_on_the_bound(self, capsys, gamma_hat, extra):
+        # the closed forms used to cancel to a 1e-4 trace error here
+        code, out, err = run(capsys, "steady", "--N", "1000", "--min-uncertainty",
+                             "--gamma-hat", gamma_hat, *extra)
+        assert code == 0, err
+        assert "concurrence = " in out
 
     def test_nonconvergence_exit_code(self, capsys):
         code, _, err = run(capsys, "steady", "--N", "1", "--min-uncertainty",

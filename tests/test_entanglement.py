@@ -228,3 +228,71 @@ class TestResonantMinUncertaintyProfile:
                 assert resonant_min_uncertainty_profile(n, f) == pytest.approx(
                     asymptotic_concurrence(bath, atoms, f), abs=1e-12
                 )
+
+
+class TestArrayConcurrence:
+    """The closed-form concurrences broadcast over N, |M|, delta and F and
+    agree elementwise with their scalar calls."""
+
+    @staticmethod
+    def _draws(rng):
+        ns = np.concatenate([[0.0, 1e-8, 1e3], rng.uniform(0.0, 5.0, 13)])
+        fracs = rng.uniform(0.0, 1.0, ns.size)
+        fracs[::3] = 1.0  # on the |M| bound
+        return ns, fracs * np.sqrt(ns * (ns + 1.0)), np.concatenate([[0.0], rng.uniform(-3, 3, 5)])
+
+    @staticmethod
+    def _close(got, want):
+        assert isinstance(want, float)
+        assert abs(got - want) <= 1e-15 * abs(want)
+        assert math.copysign(1.0, got) == 1.0  # no -0.0
+
+    def test_unique_state_concurrence(self, rng):
+        ns, ms, deltas = self._draws(rng)
+        for gamma_hat in (0.0, 0.85, 1.0 - 1e-12):
+            got = concurrence_unique(BathParams(ns[:, None], ms[:, None], 0.3),
+                                     AtomParams(gamma_hat=gamma_hat, delta=deltas[None, :]))
+            assert got.shape == (ns.size, deltas.size)
+            for i, j in np.ndindex(got.shape):
+                self._close(got[i, j], concurrence_unique(
+                    BathParams(float(ns[i]), float(ms[i]), 0.3),
+                    AtomParams(gamma_hat=gamma_hat, delta=float(deltas[j]))))
+
+    def test_dicke_family_concurrence(self, rng):
+        ns, ms, deltas = self._draws(rng)
+        fs = np.concatenate([[0.0, 1.0], rng.uniform(0.0, 1.0, 6)])
+        got = asymptotic_concurrence(BathParams(ns[:, None, None], ms[:, None, None], 0.3),
+                                     AtomParams(gamma_hat=1.0, delta=deltas[None, :, None]),
+                                     fs[None, None, :])
+        assert got.shape == (ns.size, deltas.size, fs.size)
+        for i, j, k in np.ndindex(got.shape):
+            self._close(got[i, j, k], asymptotic_concurrence(
+                BathParams(float(ns[i]), float(ms[i]), 0.3),
+                AtomParams(gamma_hat=1.0, delta=float(deltas[j])), float(fs[k])))
+        assert np.all(got[..., 1] == 1.0)  # F = 1 is the pure |a>
+
+    def test_zero_branch_is_positive_zero(self):
+        # np.maximum(0.0, -0.0) is -0.0; the scans must not print "-0"
+        from sqatoms.entanglement import _positive_part
+
+        clipped = _positive_part(np.array([-0.0, 0.0, -1e-300, -2.0, 0.5]))
+        assert np.array_equal(np.copysign(1.0, clipped), [1.0, 1.0, 1.0, 1.0, 1.0])
+        assert math.copysign(1.0, _positive_part(-0.0)) == 1.0
+        c = asymptotic_concurrence(BathParams.minimum_uncertainty(1.0), AtomParams(1.0, delta=0.8),
+                                   np.linspace(0.0, 1.0, 501))
+        zeros = c[c == 0.0]
+        assert zeros.size and np.all(np.copysign(1.0, zeros) == 1.0)
+        c = concurrence_unique(BathParams(np.linspace(0.0, 3.0, 31)), AtomParams(0.5, delta=0.4))
+        assert np.all(c == 0.0) and np.all(np.copysign(1.0, c) == 1.0)
+
+    def test_array_errors_name_the_first_offender(self):
+        atoms = AtomParams(gamma_hat=1.0)
+        bath = BathParams.minimum_uncertainty(1.0)
+        with pytest.raises(FidelityRangeError, match="got 1.5"):
+            asymptotic_concurrence(bath, atoms, np.array([0.2, 1.5, -1.0]))
+        with pytest.raises(FidelityRangeError):
+            asymptotic_concurrence(bath, atoms, np.array([0.2, np.nan]))
+        with pytest.raises(NonFiniteError, match="delta = inf"):
+            concurrence_unique(bath, AtomParams(0.5, delta=np.array([0.0, np.inf])))
+        with pytest.raises(RegimeError):
+            concurrence_unique(bath, AtomParams(1.0, delta=np.array([0.0, 1.0])))

@@ -106,6 +106,60 @@ class TestPropagator:
         ref = propagate_expm(DensityMatrix.from_pure(KET_G), bath, atoms, 100.0)
         assert np.max(np.abs(res.state.matrix - ref.matrix)) < 1e-10
 
+    @staticmethod
+    def _count_expm(monkeypatch):
+        import sqatoms.evolve as ev
+
+        calls = []
+        original = ev.expm
+
+        def counting(a):
+            calls.append(a)
+            return original(a)
+
+        monkeypatch.setattr(ev, "expm", counting)
+        return calls
+
+    @pytest.mark.parametrize("t_end, samples", [(20.0, 201), (30.0, 201), (7.3, 57)])
+    def test_uniform_grid_takes_one_propagator(self, monkeypatch, t_end, samples):
+        times = np.linspace(0.0, t_end, samples)
+        assert len(set(np.diff(times).tolist())) > 1  # linspace gaps differ in the last bits
+        bath = BathParams.minimum_uncertainty(1.3, 0.4)
+        atoms = AtomParams(gamma_hat=0.9, delta=0.6, omega_dd=0.2)
+        rho0 = DensityMatrix.from_pure(KET_E)
+        calls = self._count_expm(monkeypatch)
+        states = trajectory(rho0, bath, atoms, times)
+        assert len(calls) == 1
+        for t, state in zip(times[::10], states[::10]):
+            ref = propagate_expm(rho0, bath, atoms, float(t))
+            assert np.max(np.abs(state.matrix - ref.matrix)) < 1e-12
+
+    def test_nonuniform_grid_takes_one_propagator_per_gap(self, monkeypatch):
+        times = [0.5, 1.0, 1.5, 3.0, 3.0, 4.5]
+        calls = self._count_expm(monkeypatch)
+        bath, atoms = BathParams(1.0, 0.8), AtomParams(gamma_hat=1.0, delta=0.3)
+        states = trajectory(DensityMatrix.from_pure(KET_S), bath, atoms, times)
+        assert len(calls) == 2  # gaps 0.5 and 1.5
+        for t, state in zip(times, states):
+            ref = propagate_expm(DensityMatrix.from_pure(KET_S), bath, atoms, t)
+            assert np.max(np.abs(state.matrix - ref.matrix)) < 1e-12
+
+    def test_one_validated_state_per_sample(self, monkeypatch, capsys):
+        # each returned state is built (and so validated) once; the CSV
+        # rows read its collective view from raw arrays
+        built = []
+        original = DensityMatrix.__post_init__
+
+        def counting(self):
+            built.append(self.basis)
+            original(self)
+
+        monkeypatch.setattr(DensityMatrix, "__post_init__", counting)
+        assert main(["evolve", "--N", "1", "--min-uncertainty", "--gamma-hat", "0.9",
+                     "--init", "e", "--t", "5", "--samples", "41"]) == 0
+        capsys.readouterr()
+        assert len(built) == 1 + 41  # the initial state, then one per sample
+
 
 class TestEvolveToStationary:
     def test_separated_regime_reaches_unique_state(self):

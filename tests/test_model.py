@@ -72,6 +72,31 @@ class TestValidate:
         with pytest.raises(NonFiniteError, match="finite"):
             validate(BathParams(**bath), AtomParams(**atoms))
 
+    def test_arrays_are_checked_elementwise(self):
+        ns = np.linspace(0.0, 3.0, 7)[:, None]
+        deltas = np.array([[-1.0, 0.0, 2.5]])
+        bath = BathParams.minimum_uncertainty(ns, 0.3)
+        assert validate(bath, AtomParams(gamma_hat=0.5, delta=deltas))[0] is bath
+        with pytest.raises(MSqueezeBoundError, match=r"\|M\| = 2.0 exceeds .* for N = 0.0"):
+            validate(BathParams(ns, 2.0), AtomParams(gamma_hat=0.5))
+        with pytest.raises(ParameterError, match="got -0.5"):
+            validate(BathParams(np.array([0.0, 1.0, -0.5, -2.0])), AtomParams(gamma_hat=0.5))
+        with pytest.raises(NonFiniteError, match="delta = nan"):
+            validate(bath, AtomParams(gamma_hat=0.5, delta=np.array([0.0, math.nan])))
+        with pytest.raises(NonFiniteError, match="N = inf"):
+            validate(BathParams.minimum_uncertainty(np.array([1.0, math.inf])),
+                     AtomParams(gamma_hat=0.5))
+
+    def test_bound_is_shared_by_constructor_and_check(self):
+        ns = np.array([0.0, 1e-8, 0.5, 2.0, 1e3, 1e6])
+        bath = BathParams.minimum_uncertainty(ns)
+        assert np.array_equal(bath.m_abs, bath.m_bound)
+        for n, m in zip(ns, bath.m_abs):
+            scalar = BathParams.minimum_uncertainty(float(n))
+            assert type(scalar.m_abs) is float and type(scalar.m_bound) is float
+            assert scalar.m_abs == m == math.sqrt(n * (n + 1.0))
+        assert BathParams(-1.0).m_bound == 0.0
+
     def test_regime_flag(self):
         assert AtomParams(gamma_hat=0.999).regime == "separated"
         assert AtomParams(gamma_hat=1.0).regime == "dicke"
